@@ -1,6 +1,7 @@
 module Dfg = Rb_dfg.Dfg
 module Minterm = Rb_dfg.Minterm
 module Combi = Rb_util.Combi
+module Metrics = Rb_util.Metrics
 module Allocation = Rb_hls.Allocation
 module Config = Rb_locking.Config
 
@@ -53,6 +54,15 @@ let finalize k schedule allocation spec table locks searched =
   let errors = Cost.expected_errors k binding config in
   { config; binding; errors; assignments_searched = searched }
 
+let m_evaluated = Metrics.counter ~scope:"codesign" "evaluated"
+
+(* Locked FUs are interchangeable in the Fast model, so the optimal
+   ordered tuples are closed under permutation and the first one in
+   lexicographic order is non-decreasing. Scoring only the
+   non-decreasing subset-index tuples, in that order, and keeping the
+   first strict improvement therefore returns the winner of the full
+   ordered enumeration; [assignments_searched] still counts the
+   ordered assignments covered. *)
 let optimal ?(max_assignments = 500_000) k schedule allocation spec =
   let kind = validate_spec allocation spec in
   let space = search_space spec in
@@ -61,25 +71,30 @@ let optimal ?(max_assignments = 500_000) k schedule allocation spec =
     let table = Cost.cand_table k spec.candidates in
     let fast = Obf_binding.Fast.prepare table schedule allocation ~kind in
     let subsets = index_subsets spec in
-    let fus = Array.of_list spec.locked_fus in
-    let choices = Array.map (fun _ -> subsets) fus in
-    let best = ref None in
-    let searched = ref 0 in
-    let consider _acc tuple =
-      incr searched;
-      let locks = Array.to_list (Array.mapi (fun i subset -> (fus.(i), subset)) tuple) in
-      let errors = Obf_binding.Fast.best_errors fast ~locks in
-      (match !best with
-       | Some (best_errors, _) when best_errors >= errors -> ()
-       | Some _ | None ->
-         (* Copy: the tuple array is reused by the enumerator. *)
-         best := Some (errors, List.map (fun (fu, s) -> (fu, Array.copy s)) locks));
-      ()
+    let n_locked = List.length spec.locked_fus in
+    let tops = Obf_binding.Fast.tops fast ~depth:n_locked subsets in
+    let tuple = Array.make n_locked 0 in
+    let best = ref (-1) and best_tuple = Array.make n_locked 0 in
+    let evaluated = ref 0 in
+    let rec enumerate pos lo =
+      if pos = n_locked then begin
+        incr evaluated;
+        let errors = Obf_binding.Fast.tuple_errors tops tuple in
+        if errors > !best then begin
+          best := errors;
+          Array.blit tuple 0 best_tuple 0 n_locked
+        end
+      end
+      else
+        for s = lo to Array.length subsets - 1 do
+          tuple.(pos) <- s;
+          enumerate (pos + 1) s
+        done
     in
-    Combi.fold_cartesian choices ~init:() ~f:consider;
-    match !best with
-    | None -> assert false
-    | Some (_, locks) -> `Solution (finalize k schedule allocation spec table locks !searched)
+    enumerate 0 0;
+    Metrics.add m_evaluated !evaluated;
+    let locks = List.mapi (fun i fu -> (fu, subsets.(best_tuple.(i)))) spec.locked_fus in
+    `Solution (finalize k schedule allocation spec table locks space)
   end
 
 let heuristic k schedule allocation spec =

@@ -27,7 +27,9 @@ type solution = {
   config : Rb_locking.Config.t;  (** chosen locked minterms per FU *)
   binding : Rb_hls.Binding.t;  (** complete obfuscation-aware binding *)
   errors : int;  (** Eqn. 2 value of (config, binding) *)
-  assignments_searched : int;  (** candidate assignments scored *)
+  assignments_searched : int;
+      (** ordered candidate assignments covered; {!optimal} scores only
+          one per multiset (the [codesign/evaluated] counter) *)
 }
 
 val validate_spec : Rb_hls.Allocation.t -> spec -> Rb_dfg.Dfg.op_kind
@@ -45,9 +47,14 @@ val optimal :
   Rb_hls.Allocation.t ->
   spec ->
   [ `Solution of solution | `Too_large of int ]
-(** Exhaustive search. Refuses (returning [`Too_large] with the space
-    size) when the space exceeds [max_assignments] (default 500_000)
-    rather than silently truncating. *)
+(** Exhaustive search, exact and with the winner of the full ordered
+    enumeration (the first strict improvement in lexicographic order).
+    Locked FUs are interchangeable, so it scores only the
+    non-decreasing subset tuples, each by lookups in per-(cycle,
+    subset) top-|L| tables (DESIGN.md §15). Refuses (returning
+    [`Too_large] with the space size) when the space exceeds
+    [max_assignments] (default 500_000) rather than silently
+    truncating. *)
 
 val heuristic :
   Rb_sim.Kmatrix.t ->

@@ -39,7 +39,20 @@ module Fast : sig
       where [locks] gives (FU id, candidate-index subset) pairs.
       Does not materialize the binding. *)
 
-  val best_binding : t -> locks:(int * int array) list -> int array * int
-  (** As {!best_errors} but also returns the kind's operation-to-FU
-      map (entries for other kinds are -1). *)
+  type tops
+  (** Per-(cycle, subset) lists of each cycle's heaviest operations
+      under a candidate subset's weight. Holds scratch space for
+      {!tuple_errors}: use a value from one domain at a time. *)
+
+  val tops : t -> depth:int -> int array array -> tops
+  (** [tops t ~depth subsets] keeps, for every cycle and every subset
+      in [subsets], the cycle's [depth] heaviest operations. Built once,
+      it scores any assignment of those subsets to at most [depth]
+      locked FUs by lookups ({!tuple_errors}). *)
+
+  val tuple_errors : tops -> int array -> int
+  (** [tuple_errors tops tuple] is {!best_errors} for distinct FUs of
+      this kind locking [subsets.(tuple.(0))], [subsets.(tuple.(1))],
+      ... — which FU locks which subset does not change the value.
+      Raises [Invalid_argument] when [tuple] is longer than the depth. *)
 end

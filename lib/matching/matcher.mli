@@ -69,8 +69,7 @@ val default : unit -> string
     The [_assignment] variants canonicalize ties (lex-min over the
     optimal face) and are what binders use; the [_total] variants skip
     canonicalization — optimal totals are matcher-invariant already —
-    for search loops that only rank candidates (the codesign sweep's
-    187k-call hot path). *)
+    for callers that only rank candidates. *)
 
 val solve : ?matcher:string -> Cost_graph.t -> solution
 (** Raw instrumented solve; duals as produced by the algorithm,

@@ -15,6 +15,9 @@ module Experiments = Rb_core.Experiments
 module Testgen = Rb_testsupport.Testgen
 module Limits = Rb_util.Limits
 module Checkpoint = Rb_util.Checkpoint
+module Combi = Rb_util.Combi
+module Rng = Rb_util.Rng
+module Matcher = Rb_matching.Matcher
 
 (* The paper's Fig. 2 setting: 5 add operations over 2 cycles, 3 adder
    FUs, FU0 locks 'x' = (1,1), FU1 locks 'y' = (2,2). *)
@@ -219,6 +222,84 @@ let test_fast_rejects_wrong_kind_fu () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.fail "wrong-kind FU accepted"
 
+(* The dense evaluation the reduced one replaced, kept as its oracle:
+   per cycle, one |ops| x |FUs| matrix with unlocked FUs at weight 0,
+   solved by the matcher registry. A repeated FU keeps its last subset. *)
+let dense_best_errors table schedule allocation ~kind ~locks =
+  let fus = Array.of_list (Allocation.fu_ids allocation kind) in
+  let subset_of = Hashtbl.create 8 in
+  List.iter (fun (fu, subset) -> Hashtbl.replace subset_of fu subset) locks;
+  let weigh op fu =
+    match Hashtbl.find_opt subset_of fu with
+    | None -> 0.0
+    | Some subset -> float_of_int (Cost.subset_weight table ~subset ~op)
+  in
+  let total = ref 0 in
+  for cycle = 0 to Schedule.n_cycles schedule - 1 do
+    let ops = Array.of_list (Schedule.ops_in_cycle schedule kind cycle) in
+    if ops <> [||] then
+      total :=
+        !total
+        + int_of_float
+            (Matcher.max_weight_total_dense
+               (Array.map (fun op -> Array.map (weigh op) fus) ops))
+  done;
+  !total
+
+(* Minterms that occur in no operation: candidates of weight 0. *)
+let cold_minterms k ~n =
+  let dfg = Kmatrix.dfg k in
+  let rec go m acc =
+    if List.length acc = n then List.rev acc
+    else
+      let minterm = Minterm.of_int m in
+      let cold = List.for_all (fun op -> Kmatrix.count k minterm op = 0) (List.init (Dfg.op_count dfg) Fun.id) in
+      go (m + 7919) (if cold then minterm :: acc else acc)
+  in
+  go 1 []
+
+(* A random add-only locking setting: up to five lockable adders (more
+   than many cycles have adds), hot candidates whose heaviest ops
+   collide, and cold ones of weight 0 ([all_cold] uses only those). *)
+let reduced_setting seed ~locked ~all_cold =
+  let rng = Rng.create seed in
+  let dfg = Testgen.random_dfg seed ~n_ops:(6 + Rng.int rng 14) in
+  let trace = Testgen.skewed_trace (seed + 1) dfg in
+  let schedule = Scheduler.path_based dfg in
+  let k = Kmatrix.build trace in
+  let base = Allocation.for_schedule schedule in
+  let allocation = { base with Allocation.adders = max base.Allocation.adders locked } in
+  let hot = if all_cold then [] else Kmatrix.top_minterms ~kind:Dfg.Add k ~n:4 in
+  let candidates = Array.of_list (hot @ cold_minterms k ~n:(6 - List.length hot)) in
+  (rng, schedule, allocation, k, candidates)
+
+let random_subset rng n m =
+  let indices = Array.init n Fun.id in
+  Rng.shuffle rng indices;
+  let subset = Array.sub indices 0 m in
+  Array.sort Int.compare subset;
+  subset
+
+let qcheck_fast_matches_dense =
+  QCheck2.Test.make ~name:"Fast.best_errors = dense per-cycle matching" ~count:300
+    QCheck2.Gen.(quad (int_range 0 5_000) (int_range 1 5) (int_range 1 3) (int_range 0 3))
+    (fun (seed, locked, m, variant) ->
+      let rng, schedule, allocation, k, candidates =
+        reduced_setting seed ~locked ~all_cold:(variant = 0)
+      in
+      let table = Cost.cand_table k candidates in
+      let fus = Array.of_list (Allocation.fu_ids allocation Dfg.Add) in
+      Rng.shuffle rng fus;
+      let n = Array.length candidates in
+      let locks =
+        List.init locked (fun i -> (fus.(i), random_subset rng n m))
+        (* variant 1: the first FU again, with another subset *)
+        @ if variant = 1 then [ (fus.(0), random_subset rng n m) ] else []
+      in
+      let fast = Obf_binding.Fast.prepare table schedule allocation ~kind:Dfg.Add in
+      Obf_binding.Fast.best_errors fast ~locks
+      = dense_best_errors table schedule allocation ~kind:Dfg.Add ~locks)
+
 (* ------------------------------------------------------------ codesign *)
 
 let codesign_setting seed =
@@ -245,6 +326,30 @@ let test_codesign_optimal_vs_heuristic () =
     Alcotest.(check int) "single FU: equal" opt.Codesign.errors heur.Codesign.errors;
     Alcotest.(check int) "searched all" (Codesign.search_space spec)
       opt.Codesign.assignments_searched
+
+(* Two interchangeable locked FUs: one scored tuple per multiset,
+   C(s + 1, 2) of the s^2 ordered assignments, which stay the reported
+   search. *)
+let test_codesign_scores_multisets () =
+  let schedule, allocation, k, candidates = codesign_setting 24 in
+  let allocation = { allocation with Allocation.adders = max 2 allocation.Allocation.adders } in
+  let spec =
+    { Codesign.scheme = Scheme.Sfll_rem; locked_fus = [ 0; 1 ]; minterms_per_fu = 2; candidates }
+  in
+  let evaluated = Rb_util.Metrics.counter ~scope:"codesign" "evaluated" in
+  let was_enabled = Rb_util.Metrics.enabled () in
+  Rb_util.Metrics.set_enabled true;
+  let before = Rb_util.Metrics.counter_value evaluated in
+  let result = Codesign.optimal k schedule allocation spec in
+  let scored = Rb_util.Metrics.counter_value evaluated - before in
+  Rb_util.Metrics.set_enabled was_enabled;
+  let s = Combi.choose (Array.length candidates) 2 in
+  Alcotest.(check bool) "several subsets" true (s > 1);
+  Alcotest.(check int) "scored multisets" (s * (s + 1) / 2) scored;
+  match result with
+  | `Too_large _ -> Alcotest.fail "tiny space reported too large"
+  | `Solution opt ->
+    Alcotest.(check int) "searched ordered" (s * s) opt.Codesign.assignments_searched
 
 let test_codesign_beats_fixed_assignment () =
   (* Co-design chooses minterms, so it must do at least as well as the
@@ -326,6 +431,62 @@ let qcheck_optimal_dominates_heuristic =
           let heur = Codesign.heuristic k schedule allocation spec in
           opt.Codesign.errors >= heur.Codesign.errors
       end)
+
+(* Codesign.optimal against the ordered enumeration over the dense
+   oracle: same winner (the first strict improvement in lexicographic
+   order), binding and count of assignments searched. *)
+let reference_optimal k schedule allocation (spec : Codesign.spec) =
+  let kind = Codesign.validate_spec allocation spec in
+  let table = Cost.cand_table k spec.candidates in
+  let indices = Array.init (Array.length spec.candidates) Fun.id in
+  let subsets = Array.of_list (Combi.k_subsets indices spec.minterms_per_fu) in
+  let fus = Array.of_list spec.locked_fus in
+  let best = ref None and searched = ref 0 in
+  Combi.fold_cartesian (Array.map (fun _ -> subsets) fus) ~init:() ~f:(fun () tuple ->
+      incr searched;
+      let locks = List.mapi (fun i fu -> (fu, tuple.(i))) spec.locked_fus in
+      let errors = dense_best_errors table schedule allocation ~kind ~locks in
+      match !best with
+      | Some (best_errors, _) when best_errors >= errors -> ()
+      | Some _ | None -> best := Some (errors, locks));
+  let locks = snd (Option.get !best) in
+  let config =
+    Config.make ~scheme:spec.scheme
+      ~locks:(List.map (fun (fu, subset) -> (fu, Cost.subset_minterms table subset)) locks)
+  in
+  let binding = Obf_binding.bind k config schedule allocation in
+  (config, binding, Cost.expected_errors k binding config, !searched)
+
+let same_config a b =
+  Config.locked_fus a = Config.locked_fus b
+  && List.for_all
+       (fun fu -> Minterm.Set.equal (Config.minterms_of a fu) (Config.minterms_of b fu))
+       (Config.locked_fus a)
+
+let qcheck_optimal_matches_ordered_reference =
+  QCheck2.Test.make ~name:"optimal co-design = ordered dense enumeration" ~count:40
+    QCheck2.Gen.(triple (int_range 0 5_000) (int_range 1 3) (int_range 1 2))
+    (fun (seed, locked, m) ->
+      let _, schedule, allocation, k, candidates =
+        reduced_setting seed ~locked ~all_cold:false
+      in
+      let candidates = Array.sub candidates 0 5 in
+      let spec =
+        {
+          Codesign.scheme = Scheme.Sfll_rem;
+          locked_fus = List.init locked Fun.id;
+          minterms_per_fu = m;
+          candidates;
+        }
+      in
+      match Codesign.optimal k schedule allocation spec with
+      | `Too_large _ -> false
+      | `Solution opt ->
+        let config, binding, errors, searched = reference_optimal k schedule allocation spec in
+        opt.Codesign.errors = errors
+        && same_config opt.Codesign.config config
+        && Binding.equal opt.Codesign.binding binding
+        && opt.Codesign.assignments_searched = searched)
 
 (* --------------------------------------------------------- methodology *)
 
@@ -806,6 +967,7 @@ let () =
       ( "codesign",
         [
           Alcotest.test_case "optimal vs heuristic" `Quick test_codesign_optimal_vs_heuristic;
+          Alcotest.test_case "scores multisets" `Quick test_codesign_scores_multisets;
           Alcotest.test_case "beats fixed assignment" `Quick test_codesign_beats_fixed_assignment;
           Alcotest.test_case "solution consistency" `Quick test_codesign_config_is_consistent;
           Alcotest.test_case "too-large guard" `Quick test_codesign_too_large_guard;
@@ -858,5 +1020,7 @@ let () =
             qcheck_obf_binding_optimal;
             qcheck_thm2_exhaustive;
             qcheck_optimal_dominates_heuristic;
+            qcheck_fast_matches_dense;
+            qcheck_optimal_matches_ordered_reference;
           ] );
     ]
