@@ -48,21 +48,25 @@ let run dp trace ~sample =
 
 let check_trace dp trace =
   let n = Trace.length trace in
+  (* One compiled golden plan for the whole trace; its result buffer is
+     overwritten per sample. *)
+  let golden = Exec.Fast.make trace in
+  let expected = Exec.Fast.results golden in
   let rec go sample =
     if sample >= n then Ok ()
     else begin
       let rtl = run dp trace ~sample in
-      let golden = Exec.eval_clean trace ~sample in
+      Exec.Fast.eval_clean golden ~sample;
       let rec compare_ops op =
         if op >= Array.length rtl then None
-        else if rtl.(op) <> golden.(op).Exec.result then Some op
+        else if rtl.(op) <> expected.(op) then Some op
         else compare_ops (op + 1)
       in
       match compare_ops 0 with
       | Some op ->
         Error
           (Printf.sprintf "sample %d op %d: RTL %d, dataflow %d" sample op rtl.(op)
-             golden.(op).Exec.result)
+             expected.(op))
       | None -> go (sample + 1)
     end
   in

@@ -23,10 +23,10 @@ type op_eval = { a : int; b : int; result : int }
     to int arrays, input names resolved to sample columns — and
     allocates result buffers that every subsequent {!Fast.eval_clean}
     reuses. Callers that sweep a whole trace (the K-matrix build, the
-    error aggregation) pay the interpretive cost per trace instead of
-    per sample and allocate nothing inside the loop. The one-shot
-    {!eval_clean}/{!eval_locked} functions below stay as conveniences
-    for single-sample callers. *)
+    operand profile, the RTL trace check, the error aggregation) pay
+    the interpretive cost per trace instead of per sample and allocate
+    nothing inside the loop. The one-shot {!eval_clean}/{!eval_locked}
+    functions below stay as conveniences for single-sample callers. *)
 module Fast : sig
   type t
 
@@ -52,7 +52,13 @@ module Fast : sig
 end
 
 val eval_clean : Trace.t -> sample:int -> op_eval array
-(** Golden evaluation of one sample, indexed by operation id. *)
+(** Golden evaluation of one sample, indexed by operation id.
+
+    One-shot helper: every call compiles the DFG with {!Fast.make}
+    and allocates one record per operation, so a loop over a trace's
+    samples should compile one {!Fast} plan and call
+    {!Fast.eval_clean} instead. Kept as the by-hand reference the
+    tests compare against. *)
 
 val eval_locked :
   Trace.t ->
@@ -64,7 +70,11 @@ val eval_locked :
     maps operation id to FU id) and a locking configuration. Returns
     the per-operation evaluations (with corruption propagated) and the
     number of error-injection events (locked-FU executions whose
-    operand minterm was locked). *)
+    operand minterm was locked).
+
+    One-shot helper like {!eval_clean}: it compiles the DFG and
+    builds the locked-minterm tables on every call. Whole-trace
+    callers use {!application_errors}. *)
 
 type error_report = {
   samples : int;  (** trace length *)

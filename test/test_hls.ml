@@ -123,20 +123,82 @@ let test_engine_rejects_small_allocation () =
 
 (* ------------------------------------------------------------- profile *)
 
-let test_profile_matches_exec () =
-  let dfg = Testgen.random_dfg 5 ~n_ops:10 in
-  let trace = Testgen.random_trace 6 dfg in
-  let profile = Profile.build trace in
-  Alcotest.(check int) "samples" (Rb_sim.Trace.length trace) (Profile.n_samples profile);
-  for s = 0 to Profile.n_samples profile - 1 do
+(* A random DFG and a trace whose words are all-zero, all-ones or
+   uniform: samples 0 and 1 are the all-0x00 and all-0xff rows, later
+   samples mix the three per word, so operand words at both extremes
+   reach ops directly from the inputs. *)
+let profile_case seed =
+  let rng = Rb_util.Rng.create seed in
+  let dfg =
+    Testgen.random_dfg seed ~n_ops:(4 + Rb_util.Rng.int rng 20)
+      ~n_inputs:(1 + Rb_util.Rng.int rng 4)
+  in
+  let trace =
+    Rb_sim.Trace.generate dfg ~n:(1 + Rb_util.Rng.int rng 40) ~f:(fun sample _ ->
+        match sample with
+        | 0 -> 0
+        | 1 -> Rb_dfg.Word.mask
+        | _ -> (
+          match Rb_util.Rng.int rng 3 with
+          | 0 -> 0
+          | 1 -> Rb_dfg.Word.mask
+          | _ -> Rb_util.Rng.int rng 256))
+  in
+  (dfg, trace)
+
+let qcheck_profile_matches_exec =
+  QCheck2.Test.make ~name:"matches exec" ~count:30
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let dfg, trace = profile_case seed in
+      let profile = Profile.build trace in
+      Profile.n_samples profile = Rb_sim.Trace.length trace
+      && List.for_all
+           (fun s ->
+             let evals = Exec.eval_clean trace ~sample:s in
+             List.for_all
+               (fun op ->
+                 Profile.operands profile op ~sample:s
+                 = (evals.(op).Exec.a, evals.(op).Exec.b))
+               (List.init (Dfg.op_count dfg) Fun.id))
+           (List.init (Profile.n_samples profile) Fun.id))
+
+(* The bit-serial score [Profile] computed before it packed the
+   operand pairs, straight from the golden simulator: two popcount
+   loops per sample, one per FU input port. *)
+let reference_hamming trace op1 op2 =
+  let popcount x =
+    let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
+    go x 0
+  in
+  let n = Rb_sim.Trace.length trace in
+  let total = ref 0 in
+  for s = 0 to n - 1 do
     let evals = Exec.eval_clean trace ~sample:s in
-    for op = 0 to Dfg.op_count dfg - 1 do
-      let a, b = Profile.operands profile op ~sample:s in
-      Alcotest.(check (pair int int)) "operands agree"
-        (evals.(op).Exec.a, evals.(op).Exec.b)
-        (a, b)
-    done
-  done
+    total :=
+      !total
+      + popcount (evals.(op1).Exec.a lxor evals.(op2).Exec.a)
+      + popcount (evals.(op1).Exec.b lxor evals.(op2).Exec.b)
+  done;
+  float_of_int !total /. float_of_int n
+
+let qcheck_hamming_matches_reference =
+  QCheck2.Test.make ~name:"Profile.expected_input_hamming = bit-serial reference"
+    ~count:30
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let dfg, trace = profile_case seed in
+      let profile = Profile.build trace in
+      let ops = List.init (Dfg.op_count dfg) Fun.id in
+      List.for_all
+        (fun op1 ->
+          List.for_all
+            (fun op2 ->
+              (* exact: both sides divide the same integer total *)
+              Profile.expected_input_hamming profile op1 op2
+              = reference_hamming trace op1 op2)
+            ops)
+        ops)
 
 let test_expected_hamming_properties () =
   let dfg = Testgen.random_dfg 7 ~n_ops:8 in
@@ -339,8 +401,9 @@ let () =
         ] );
       ( "profile",
         [
-          Alcotest.test_case "matches exec" `Quick test_profile_matches_exec;
+          QCheck_alcotest.to_alcotest qcheck_profile_matches_exec;
           Alcotest.test_case "hamming properties" `Quick test_expected_hamming_properties;
+          QCheck_alcotest.to_alcotest qcheck_hamming_matches_reference;
         ] );
       ( "baselines",
         [

@@ -262,6 +262,87 @@ let qcheck_clean_hits_match_kmatrix =
         in
         report.Exec.clean_hits = expected)
 
+(* The cross-op totals against a reference summed from the public
+   per-op histograms into a [Minterm.Map]: the same sorted list, prefix
+   and distinct count. The random [of_counts] tables list some
+   minterms with count 0, which must still appear (with total 0). *)
+let reference_minterms ?kind k =
+  let dfg = Kmatrix.dfg k in
+  let totals = ref Minterm.Map.empty in
+  for op = 0 to Dfg.op_count dfg - 1 do
+    if match kind with None -> true | Some kd -> (Dfg.op dfg op).Dfg.kind = kd then
+      List.iter
+        (fun (m, c) ->
+          totals :=
+            Minterm.Map.update m
+              (fun cur -> Some (Option.value cur ~default:0 + c))
+              !totals)
+        (Kmatrix.op_histogram k op)
+  done;
+  Minterm.Map.bindings !totals
+  |> List.sort (fun (m1, c1) (m2, c2) ->
+         match Int.compare c2 c1 with 0 -> Minterm.compare m1 m2 | c -> c)
+
+let qcheck_aggregate_matches_reference =
+  QCheck2.Test.make ~name:"Kmatrix totals = summed per-op histograms" ~count:40
+    QCheck2.Gen.(int_range 0 5_000)
+    (fun seed ->
+      let rng = Rb_util.Rng.create seed in
+      let dfg = Testgen.random_dfg seed ~n_ops:(2 + Rb_util.Rng.int rng 14) in
+      let built = Kmatrix.build (Testgen.skewed_trace (seed + 1) dfg) in
+      let explicit =
+        Kmatrix.of_counts dfg
+          (List.init (Dfg.op_count dfg) (fun op ->
+               ( op,
+                 List.init (Rb_util.Rng.int rng 6) (fun _ ->
+                     ( Minterm.pack (Rb_util.Rng.int rng 2) (Rb_util.Rng.int rng 4),
+                       Rb_util.Rng.int rng 3 )) )))
+      in
+      List.for_all
+        (fun k ->
+          List.for_all
+            (fun kind ->
+              let expected = reference_minterms ?kind k in
+              Kmatrix.all_minterms ?kind k = expected
+              && Kmatrix.top_minterms ?kind k ~n:3
+                 = List.map fst (List.filteri (fun i _ -> i < 3) expected))
+            [ None; Some Dfg.Add; Some Dfg.Mul ]
+          && Kmatrix.distinct_minterms k = List.length (reference_minterms k))
+        [ built; explicit ])
+
+(* Two threads of one domain and a second domain total the same K
+   matrix at once: each call must see only its own totals, however the
+   runtime switches threads inside it. 100 ops with 300 draws each
+   make every call long enough for switches to land mid-call. *)
+let test_aggregate_concurrent () =
+  let rng = Rb_util.Rng.create 97 in
+  let dfg = Testgen.random_dfg ~n_ops:100 97 in
+  let k =
+    Kmatrix.of_counts dfg
+      (List.init (Dfg.op_count dfg) (fun op ->
+           ( op,
+             List.init 300 (fun _ ->
+                 (Minterm.of_int (Rb_util.Rng.int rng Minterm.space_size), Rb_util.Rng.int rng 4))
+           )))
+  in
+  let expected = Kmatrix.all_minterms k in
+  let expected_add = Kmatrix.all_minterms ~kind:Dfg.Add k in
+  let worker () =
+    let ok = ref true in
+    for _ = 1 to 12 do
+      if Kmatrix.all_minterms k <> expected then ok := false;
+      if Kmatrix.all_minterms ~kind:Dfg.Add k <> expected_add then ok := false
+    done;
+    !ok
+  in
+  let results = Array.make 2 false in
+  let threads = List.init 2 (fun i -> Thread.create (fun () -> results.(i) <- worker ()) ()) in
+  let domain = Domain.spawn worker in
+  List.iter Thread.join threads;
+  let domain_ok = Domain.join domain in
+  Alcotest.(check (array bool)) "thread totals" [| true; true |] results;
+  Alcotest.(check bool) "domain totals" true domain_ok
+
 let () =
   Alcotest.run "rb_sim"
     [
@@ -293,7 +374,9 @@ let () =
           Alcotest.test_case "of_counts validation" `Quick test_kmatrix_of_counts_validation;
           Alcotest.test_case "head mass" `Quick test_kmatrix_head_mass;
           Alcotest.test_case "op concentration" `Quick test_kmatrix_op_concentration;
+          Alcotest.test_case "concurrent totals" `Quick test_aggregate_concurrent;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ qcheck_clean_hits_match_kmatrix ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ qcheck_clean_hits_match_kmatrix; qcheck_aggregate_matches_reference ] );
     ]
